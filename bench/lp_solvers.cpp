@@ -1,12 +1,10 @@
-// Micro-benchmark of the LP substrate: bounded-variable simplex under the
-// default Forrest-Tomlin basis with dynamic Devex pricing, vs the previous
-// default (product-form eta file + static partial Devex), vs the seed's
-// dense explicit inverse, vs restarted PDHG, on random feasible LPs of
-// growing size plus a real ~3900-row MC-PERF relaxation. Reports solve
-// time and iteration count per path and the certified-bound agreement.
-// Explains the engine's Auto policy: with a sparse basis the simplex stays
-// exact and fast to a few thousand rows (the dense inverse gave out around
-// 600), PDHG takes over beyond that.
+// Micro-benchmark of the LP substrate: the bounded-variable simplex
+// (Forrest-Tomlin basis, dynamic Devex pricing) vs restarted PDHG, on
+// random feasible LPs of growing size plus a real ~3900-row MC-PERF
+// relaxation. Reports solve time and iteration count per solver and the
+// certified-bound agreement. Explains the engine's Auto policy: with a
+// sparse basis the simplex stays exact and fast to a few thousand rows,
+// PDHG takes over beyond that.
 #include "common.h"
 
 #include <algorithm>
@@ -348,25 +346,22 @@ void run_event_replay(::benchmark::State& state) {
   }
 }
 
-struct Paths {
-  bool ft = true;     // Forrest-Tomlin + dynamic Devex (the default)
-  bool pf = true;     // product-form eta + static Devex (previous default)
-  bool dense = true;  // the dense inverse is O(m^2)/pivot — cap its size
-};
-
+/// One bench point: the simplex (when `exact`) and PDHG on `model`. The
+/// simplex columns keep their ft-* names because bench/check_bench_smoke.py
+/// reads them.
 void run_point(::benchmark::State& state, const lp::LpModel& model,
-               Paths paths, std::size_t pdhg_iterations,
+               bool exact, std::size_t pdhg_iterations,
                double pdhg_tolerance = 1e-7) {
   // Timings and iteration counts are read back from the telemetry registry
-  // (reset before each path) rather than the LpSolution fields, so these
+  // (reset before each solver) rather than the LpSolution fields, so these
   // columns agree with any trace of the same solve by construction.
-  double ft_s = 0, ft_obj = 0, pf_s = 0, dense_s = 0, pdhg_s = 0;
+  double ft_s = 0, ft_obj = 0, pdhg_s = 0;
   double ft_sparse_frac = 0, ft_compressions = 0;
-  std::size_t ft_it = 0, pf_it = 0, re_cold_it = 0, re_warm_it = 0;
+  std::size_t ft_it = 0, re_cold_it = 0, re_warm_it = 0;
   lp::LpSolution pdhg;
   for (auto _ : state) {
-    if (paths.ft) {
-      lp::SimplexOptions options;  // defaults: ForrestTomlin + DevexDynamic
+    if (exact) {
+      lp::SimplexOptions options;
       bench::reset_metrics();
       const auto exact = lp::solve_simplex(model, options);
       ft_s = bench::metric_sum("simplex.solve_seconds");
@@ -403,27 +398,6 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
       re_warm_it = static_cast<std::size_t>(
           bench::metric_sum("simplex.iterations"));
     }
-    if (paths.pf) {
-      // The previous default configuration, pinned explicitly.
-      lp::SimplexOptions options;
-      options.basis = lp::SimplexOptions::Basis::ProductForm;
-      options.pricing = lp::SimplexOptions::Pricing::PartialDevex;
-      options.refactor_period = 640;
-      options.eta_limit = 128;
-      bench::reset_metrics();
-      lp::solve_simplex(model, options);
-      pf_s = bench::metric_sum("simplex.solve_seconds");
-      pf_it = static_cast<std::size_t>(
-          bench::metric_sum("simplex.iterations"));
-    }
-    if (paths.dense) {
-      lp::SimplexOptions options;
-      options.basis = lp::SimplexOptions::Basis::DenseInverse;
-      options.pricing = lp::SimplexOptions::Pricing::PartialDevex;
-      bench::reset_metrics();
-      lp::solve_simplex(model, options);
-      dense_s = bench::metric_sum("simplex.solve_seconds");
-    }
     lp::PdhgOptions options;
     options.tolerance = pdhg_tolerance;
     options.max_iterations = pdhg_iterations;
@@ -433,52 +407,45 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
     pdhg_s = bench::metric_sum("pdhg.solve_seconds");
   }
   state.counters["pdhg_bound"] = pdhg.dual_bound;
-  const double gap = paths.ft ? std::abs(ft_obj - pdhg.dual_bound) /
+  const double gap = exact ? std::abs(ft_obj - pdhg.dual_bound) /
                                     (1 + std::abs(ft_obj))
                               : 0;
   bench::results()
       .cell(static_cast<std::int64_t>(model.variable_count()))
       .cell(static_cast<std::int64_t>(model.row_count()))
-      .cell(paths.ft ? format_number(ft_s, 3) : std::string("-"))
-      .cell(paths.ft ? std::to_string(ft_it) : std::string("-"))
-      .cell(paths.ft && ft_it > 0
+      .cell(exact ? format_number(ft_s, 3) : std::string("-"))
+      .cell(exact ? std::to_string(ft_it) : std::string("-"))
+      .cell(exact && ft_it > 0
                 ? format_number(ft_s / static_cast<double>(ft_it) * 1e6, 1)
                 : std::string("-"))
-      .cell(paths.ft ? format_number(100 * ft_sparse_frac, 1)
+      .cell(exact ? format_number(100 * ft_sparse_frac, 1)
                      : std::string("-"))
-      .cell(paths.ft ? std::to_string(
+      .cell(exact ? std::to_string(
                            static_cast<std::size_t>(ft_compressions))
                      : std::string("-"))
-      .cell(paths.ft ? format_number(ft_obj, 3) : std::string("-"))
-      .cell(paths.pf ? format_number(pf_s, 3) : std::string("-"))
-      .cell(paths.pf ? std::to_string(pf_it) : std::string("-"))
-      .cell(paths.dense ? format_number(dense_s, 3) : std::string("-"))
+      .cell(exact ? format_number(ft_obj, 3) : std::string("-"))
       .cell(pdhg_s, 3)
       .cell(pdhg.dual_bound, 3)
-      .cell(paths.ft ? format_number(gap, 7) : std::string("-"))
-      .cell(paths.ft ? std::to_string(re_cold_it) : std::string("-"))
-      .cell(paths.ft ? std::to_string(re_warm_it) : std::string("-"));
+      .cell(exact ? format_number(gap, 7) : std::string("-"))
+      .cell(exact ? std::to_string(re_cold_it) : std::string("-"))
+      .cell(exact ? std::to_string(re_warm_it) : std::string("-"));
   bench::results().finish_row();
 }
 
 void register_points() {
   bench::results({"vars", "rows", "ft-s", "ft-it", "ft-us/it", "sparse%",
-                  "rfc", "ft-obj", "pf-s", "pf-it", "dense-s", "pdhg-s",
-                  "pdhg-bound", "rel-gap", "re-cold-it", "re-warm-it"});
+                  "rfc", "ft-obj", "pdhg-s", "pdhg-bound", "rel-gap",
+                  "re-cold-it", "re-warm-it"});
   struct Size {
     std::size_t vars, rows;
-    Paths paths;
+    bool exact;
     std::size_t pdhg_iterations;
   };
   for (const Size size :
-       {Size{60, 40, {true, true, true}, 200'000},
-        Size{250, 180, {true, true, true}, 200'000},
-        Size{1000, 700, {true, true, true}, 200'000},
-        // Dense refactorizations are O(m^3) past this point, and the
-        // product-form path took ~10 minutes here in the previous round:
-        // FT + PDHG only.
-        Size{4000, 3000, {true, false, false}, 200'000},
-        Size{8000, 6000, {false, false, false}, 200'000}}) {
+       {Size{60, 40, true, 200'000}, Size{250, 180, true, 200'000},
+        Size{1000, 700, true, 200'000}, Size{4000, 3000, true, 200'000},
+        // PDHG only: the simplex would take far beyond the bench budget.
+        Size{8000, 6000, false, 200'000}}) {
     const std::string label = "lp/" + std::to_string(size.vars) + "x" +
                               std::to_string(size.rows);
     ::benchmark::RegisterBenchmark(
@@ -486,21 +453,20 @@ void register_points() {
         [size](::benchmark::State& state) {
           Rng rng(31337 + size.vars);
           const auto model = random_lp(rng, size.vars, size.rows);
-          run_point(state, model, size.paths, size.pdhg_iterations);
+          run_point(state, model, size.exact, size.pdhg_iterations);
         })
         ->Iterations(1)
         ->Unit(::benchmark::kSecond);
   }
 
-  // The acceptance point for the sparse bases: a >=3000-row MC-PERF LP
-  // (3914 rows) solved exactly by both simplex configurations,
-  // cross-checked against PDHG. At tqos=0.9 PDHG converges fully and the
-  // paths agree to <1e-6.
+  // The acceptance point for the sparse basis: a >=3000-row MC-PERF LP
+  // (3914 rows) solved exactly, cross-checked against PDHG. At tqos=0.9
+  // PDHG converges fully and the two agree to <1e-6.
   ::benchmark::RegisterBenchmark(
       "lp/mcperf-8x8x60-q90",
       [](::benchmark::State& state) {
         const auto model = mcperf_lp(0.9);
-        run_point(state, model, {true, true, false}, 2'000'000, 1e-8);
+        run_point(state, model, true, 2'000'000, 1e-8);
       })
       ->Iterations(1)
       ->Unit(::benchmark::kSecond);
@@ -522,7 +488,7 @@ void register_points() {
       "lp/mcperf-8x8x60-q99",
       [](::benchmark::State& state) {
         const auto model = mcperf_lp(0.99);
-        run_point(state, model, {true, true, false}, 1'000'000, 1e-8);
+        run_point(state, model, true, 1'000'000, 1e-8);
       })
       ->Iterations(1)
       ->Unit(::benchmark::kSecond);

@@ -50,6 +50,13 @@ mcperf::Instance tree_bench_instance(std::size_t depth) {
   return instance;
 }
 
+/// The gap to three decimals. A gap that rounds to zero from below (the
+/// rounded cost meets the bound up to roundoff) prints as 0, not -0.
+std::string format_gap(double gap) {
+  const std::string text = format_number(gap, 3);
+  return text == "-0" ? "0" : text;
+}
+
 /// Register the tree-family crossover points: the exact DP vs the exact
 /// simplex LP vs PDHG on the same hierarchical instances. One row per
 /// (size, method); for the DP the solver-iters column carries the DP state
@@ -68,6 +75,7 @@ void register_tree_points() {
           double dp_s = 0;
           bounds::BoundDetail auto_detail, pdhg_detail;
           double auto_it = 0, auto_s = 0, pdhg_it = 0, pdhg_s = 0;
+          double auto_round_ups = 0, pdhg_round_ups = 0;
           for (auto _ : state) {
             const auto start = std::chrono::steady_clock::now();
             dp = tree::solve_tree_dp(instance, spec);
@@ -82,6 +90,7 @@ void register_tree_points() {
                                                        options);
             auto_it = bench::metric_sum("bounds.iterations");
             auto_s = bench::metric_sum("bounds.solve_seconds");
+            auto_round_ups = bench::metric_sum("rounding.round_ups");
 
             options.solver = bounds::BoundOptions::Solver::Pdhg;
             bench::reset_metrics();
@@ -89,6 +98,7 @@ void register_tree_points() {
                                                        options);
             pdhg_it = bench::metric_sum("bounds.iterations");
             pdhg_s = bench::metric_sum("bounds.solve_seconds");
+            pdhg_round_ups = bench::metric_sum("rounding.round_ups");
           }
           state.counters["dp_seconds"] = dp_s;
           state.counters["dp_optimum"] = dp.optimum;
@@ -117,6 +127,7 @@ void register_tree_points() {
             const auto& detail = pdhg ? pdhg_detail : auto_detail;
             const double it = pdhg ? pdhg_it : auto_it;
             const double secs = pdhg ? pdhg_s : auto_s;
+            const double round_ups = pdhg ? pdhg_round_ups : auto_round_ups;
             bench::results()
                 .cell(static_cast<std::int64_t>(nodes))
                 .cell(std::int64_t{1})
@@ -128,10 +139,9 @@ void register_tree_points() {
                 .cell(secs, 3)
                 .cell(it > 0 ? format_number(secs / it * 1e6, 1)
                              : std::string("-"))
-                .cell(static_cast<std::int64_t>(bench::metric_sum(
-                    "rounding.round_ups")))
+                .cell(static_cast<std::int64_t>(round_ups))
                 .cell(detail.bound.rounded_feasible
-                          ? format_number(detail.bound.gap, 3)
+                          ? format_gap(detail.bound.gap)
                           : std::string("-"))
                 .cell("-")
                 .cell("-");
@@ -223,7 +233,7 @@ void register_points() {
                         : std::string("-"))
               .cell(static_cast<std::int64_t>(round_ups))
               .cell(detail.bound.rounded_feasible
-                        ? format_number(detail.bound.gap, 3)
+                        ? format_gap(detail.bound.gap)
                         : std::string("-"))
               .cell(static_cast<std::int64_t>(class_cold_it))
               .cell(static_cast<std::int64_t>(class_warm_it));

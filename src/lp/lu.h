@@ -1,5 +1,5 @@
-// Sparse LU basis factorization with two pivot-update schemes: product-form
-// eta updates and Forrest–Tomlin updates of the U factor in place.
+// Sparse LU basis factorization kept current by Forrest–Tomlin updates of
+// the U factor in place.
 //
 // The simplex basis matrix B (one column per basic variable) is factorized
 // as PBQ = LU by right-looking Gaussian elimination with Markowitz pivot
@@ -7,37 +7,25 @@
 // relative threshold-pivoting rule for stability. Tree-structured
 // replica-placement LPs are dominated by singleton columns (slacks, cover
 // rows), so the factorization is near-linear in nonzeros for the MC-PERF
-// family where the dense explicit inverse was O(m^2) memory and O(m^3)
+// family, where a dense explicit inverse would be O(m^2) memory and O(m^3)
 // refactorization.
 //
 // Between refactorizations the basis changes one column per simplex pivot.
-// Two update schemes absorb the change:
+// The incoming column's partial FTRAN result ("spike", stashed by ftran()
+// after the L and R passes) replaces a column of U in place. Restoring
+// triangularity takes one cyclic permutation (tracked as a contiguous
+// pivot-order array — the slots themselves never move) plus the
+// elimination of the leftover U row against the later U rows it actually
+// reaches; the elimination multipliers are appended to a compact R-file of
+// row etas. FTRAN solves L, then R, then U; BTRAN the reverse. Updates
+// touch only the affected rows of U, so solve cost tracks the *current*
+// factor sparsity instead of the pivot history, and the refactorization
+// period can stretch into the thousands. When the eliminated diagonal comes
+// out too small (absolutely, or relative to the spike) the update refuses
+// and leaves the factorization unchanged — the caller must refactorize (the
+// stability/fill fallback).
 //
-//  - UpdateMode::ProductForm (the PR 2 scheme, kept as the differential
-//    reference): if column `p` of B is replaced by a column a with
-//    w = B^{-1} a, then B_new^{-1} = E^{-1} B_old^{-1} where E is the
-//    identity with column p replaced by w. FTRAN applies the eta file
-//    forward after the LU solve, BTRAN applies it transposed in reverse
-//    before the LU^T solve. Every FTRAN/BTRAN pays for the whole eta file,
-//    so long pivot sequences degrade linearly with the pivot count.
-//
-//  - UpdateMode::ForrestTomlin (the default in the simplex): the incoming
-//    column's partial FTRAN result ("spike", stashed by ftran() after the
-//    L and R passes) replaces a column of U in place. Restoring
-//    triangularity takes one cyclic permutation (tracked as a contiguous
-//    pivot-order array — the slots themselves never move) plus the
-//    elimination of the leftover U row against the later U rows it
-//    actually reaches; the elimination multipliers are appended to a
-//    compact R-file of row etas. FTRAN solves L, then R,
-//    then U; BTRAN the reverse. Updates touch only the affected rows of U,
-//    so solve cost tracks the *current* factor sparsity instead of the
-//    pivot history, and the refactorization period can stretch far past
-//    the eta file's practical limit. When the eliminated diagonal comes
-//    out too small (absolutely, or relative to the spike) the update
-//    refuses and leaves the factorization unchanged — the caller must
-//    refactorize (the stability/fill fallback).
-//
-// Hyper-sparse solves (ForrestTomlin mode): replica-placement LP columns
+// Hyper-sparse solves: replica-placement LP columns
 // touch a handful of rows each, so most FTRAN/BTRAN right-hand sides are
 // far sparser than the basis dimension. ftran_sparse()/btran_sparse()
 // accept the RHS nonzero pattern, run a symbolic reachability pass over
@@ -77,11 +65,12 @@ class BasisLu {
     double value;
   };
 
-  /// How update() absorbs basis changes; chosen at factorize() time.
-  enum class UpdateMode { ProductForm, ForrestTomlin };
+  /// How update() absorbs basis changes. Forrest–Tomlin is the only
+  /// scheme; the parameter stays so callers can name it explicitly.
+  enum class UpdateMode { ForrestTomlin };
 
   /// Factorize the m x m basis whose column p holds the nonzeros
-  /// columns[p] as (row, value) pairs. Discards any existing eta/R file.
+  /// columns[p] as (row, value) pairs. Discards any existing R-file.
   /// Returns false when the basis is structurally or numerically singular
   /// (no pivot above the absolute tolerance remains); the object is then
   /// unusable until the next successful factorize().
@@ -91,28 +80,27 @@ class BasisLu {
   /// more stable, smaller is sparser.
   bool factorize(std::size_t m, const std::vector<std::vector<Entry>>& columns,
                  double pivot_threshold = 0.1,
-                 UpdateMode mode = UpdateMode::ProductForm);
+                 UpdateMode mode = UpdateMode::ForrestTomlin);
 
   /// Solve B w = a in place: on entry x is a (indexed by constraint row),
-  /// on exit x is w (indexed by basis position). In ForrestTomlin mode the
-  /// partial result after the L and R passes (the "spike") is stashed for
-  /// a subsequent update().
+  /// on exit x is w (indexed by basis position). The partial result after
+  /// the L and R passes (the "spike") is stashed for a subsequent update().
   void ftran(std::vector<double>& x) const;
 
   /// Solve B^T y = c in place: on entry x is c (indexed by basis
   /// position), on exit x is y (indexed by constraint row).
   void btran(std::vector<double>& x) const;
 
-  /// Hyper-sparse FTRAN (ForrestTomlin only; other modes and empty bases
-  /// delegate to the dense ftran()). On entry x must be zero outside
-  /// `pattern`, which lists its nonzero constraint rows (unique, any
-  /// order). Solves in place; when every stage ran sparse, returns true
-  /// and rewrites `pattern` to a superset of the result's nonzero basis
-  /// positions. Returns false when the tracked pattern crossed
-  /// `density_threshold` (as a fraction of the dimension) and the solve
-  /// finished on the dense path — x is then the full dense result and
-  /// `pattern` is meaningless. Either way the result's nonzero values are
-  /// bit-identical to ftran()'s and the spike is stashed for update().
+  /// Hyper-sparse FTRAN (an empty basis delegates to the dense ftran()).
+  /// On entry x must be zero outside `pattern`, which lists its nonzero
+  /// constraint rows (unique, any order). Solves in place; when every
+  /// stage ran sparse, returns true and rewrites `pattern` to a superset of
+  /// the result's nonzero basis positions. Returns false when the tracked
+  /// pattern crossed `density_threshold` (as a fraction of the dimension)
+  /// and the solve finished on the dense path — x is then the full dense
+  /// result and `pattern` is meaningless. Either way the result's nonzero
+  /// values are bit-identical to ftran()'s and the spike is stashed for
+  /// update().
   bool ftran_sparse(std::vector<double>& x,
                     std::vector<std::uint32_t>& pattern,
                     double density_threshold) const;
@@ -132,59 +120,46 @@ class BasisLu {
   /// All work is staged: returns false, leaving the factorization
   /// unchanged, when a re-triangularized diagonal fails the absolute
   /// (min_pivot) or relative stability guard, or the fold fills in
-  /// pathologically; the caller should refactorize then. ForrestTomlin
-  /// only; a no-op success in other modes or with an empty R-file.
+  /// pathologically; the caller should refactorize then. A no-op success
+  /// with an empty R-file.
   bool compress_rfile(double min_pivot);
 
-  /// Absorb a basis change: the column at `position` was replaced by a
-  /// column a with direction w = B^{-1} a (an ftran() result, indexed by
-  /// position). Returns false — leaving the factorization unchanged — when
-  /// the replacement pivot is numerically unacceptable, in which case the
-  /// caller must refactorize instead.
-  ///
-  /// ProductForm: appends one eta; fails when |w[position]| <= min_pivot.
-  /// ForrestTomlin: consumes the spike stashed by the most recent ftran()
-  /// (which therefore must have been the FTRAN of the incoming column a);
-  /// fails when the eliminated U diagonal is <= min_pivot or vanishes
-  /// relative to the spike's largest entry (the stability guard).
-  bool update(std::size_t position, const std::vector<double>& direction,
-              double min_pivot);
+  /// Absorb a basis change: the column at `position` was replaced by the
+  /// column whose ftran() ran last — update() consumes the spike that
+  /// ftran stashed. Returns false — leaving the factorization unchanged —
+  /// when the eliminated U diagonal is <= min_pivot or vanishes relative
+  /// to the spike's largest entry (the stability guard); the caller must
+  /// refactorize instead.
+  bool update(std::size_t position, double min_pivot);
 
   std::size_t dimension() const { return m_; }
-  UpdateMode update_mode() const { return mode_; }
-  /// Product-form etas held (always 0 in ForrestTomlin mode).
-  std::size_t eta_count() const { return etas_.size(); }
-  /// Basis changes absorbed since the last factorize(), either scheme.
+  /// Basis changes absorbed since the last factorize().
   std::size_t update_count() const { return update_count_; }
   /// Nonzeros currently stored in L and U (fill-in diagnostics; excludes
-  /// eta/R files). Forrest–Tomlin updates change this in place.
-  std::size_t factor_nonzeros() const;
+  /// the R-file). Forrest–Tomlin updates change this in place.
+  std::size_t factor_nonzeros() const {
+    return l_nonzeros_ + u_nonzeros_ + m_;
+  }
   /// Nonzeros of L and U immediately after the last factorize() — the
   /// reference point for fill-growth refactorization triggers.
   std::size_t baseline_nonzeros() const { return baseline_nonzeros_; }
-  /// Total entries across the Forrest–Tomlin R-file (0 in ProductForm).
+  /// Total entries across the R-file.
   std::size_t r_nonzeros() const { return r_nonzeros_; }
-  /// Row etas currently in the Forrest–Tomlin R-file.
+  /// Row etas currently in the R-file.
   std::size_t reta_count() const { return retas_.size(); }
 
  private:
   /// One elimination step: pivot at (pivot_row, pivot_col), below-pivot
   /// multipliers in l_entries (constraint-row indexed), the remainder of
   /// the pivot row in u_entries (basis-position indexed, pivot excluded).
-  /// In ForrestTomlin mode u_entries are moved into the mutable U store
-  /// and only the L part remains here.
+  /// Staging form only: build_ft_structure() moves both lists into the
+  /// pooled L arena and the mutable U store.
   struct Step {
     std::uint32_t pivot_row = 0;
     std::uint32_t pivot_col = 0;
     double pivot = 0;
     std::vector<Entry> l_entries;
     std::vector<Entry> u_entries;
-  };
-  /// Product-form eta: column `position` of the replaced-identity matrix.
-  struct Eta {
-    std::uint32_t position = 0;
-    double pivot = 0;
-    std::vector<Entry> entries;  // (position, w value), pivot excluded
   };
   /// Forrest–Tomlin row eta: one combined row operation
   /// x[row] -= sum_j entries[j].value * x[entries[j].index], all indices in
@@ -206,25 +181,18 @@ class BasisLu {
 
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  void build_ft_structure();
+  void build_ft_structure(std::vector<Step>& steps);
   const Entry* l_begin(std::size_t t) const { return l_pool_.data() + l_off_[t]; }
   std::size_t l_len(std::size_t t) const { return l_off_[t + 1] - l_off_[t]; }
-  bool update_product_form(std::size_t position,
-                           const std::vector<double>& direction,
-                           double min_pivot);
-  bool update_forrest_tomlin(std::size_t position, double min_pivot);
   void ensure_sparse_scratch() const;
   void stash_spike_sparse(const std::vector<double>& x,
                           const std::vector<std::uint32_t>& pattern) const;
 
   std::size_t m_ = 0;
-  UpdateMode mode_ = UpdateMode::ProductForm;
-  std::vector<Step> steps_;
-  std::vector<Eta> etas_;
   std::size_t update_count_ = 0;
   std::size_t baseline_nonzeros_ = 0;
 
-  // --- Forrest–Tomlin state. One "slot" per pivot of the factorization,
+  // --- Factor state. One "slot" per pivot of the factorization,
   // identified by its (constraint row, basis position) pair — both stable
   // across updates; only the slot's place in the pivot order changes.
   std::vector<double> u_pivot_;              // diagonal per slot
@@ -246,10 +214,10 @@ class BasisLu {
   std::vector<RetaSpan> retas_;              // the R-file, oldest first
   std::vector<Entry> reta_pool_;             // R-file entries, contiguous
   /// L multipliers pooled into one arena in elimination-step order
-  /// (FT mode; immutable between refactorizations — updates touch only U
-  /// and the R-file). l_off_[t] .. l_off_[t+1] is step t's slice and
-  /// step_row_[t] its pivot row, so every L pass streams the arena instead
-  /// of dereferencing per-step heap vectors.
+  /// (immutable between refactorizations — updates touch only U and the
+  /// R-file). l_off_[t] .. l_off_[t+1] is step t's slice and step_row_[t]
+  /// its pivot row, so every L pass streams the arena instead of
+  /// dereferencing per-step heap vectors.
   std::vector<Entry> l_pool_;
   std::vector<std::size_t> l_off_;
   std::vector<std::uint32_t> step_row_;
@@ -257,11 +225,10 @@ class BasisLu {
   std::size_t l_nonzeros_ = 0;
   std::size_t r_nonzeros_ = 0;
 
-  // --- Hyper-sparse solve machinery (ForrestTomlin mode). Sparse passes
-  // (and the update's sparse dry run) need to order small active sets by
-  // pivot order without scanning it, so every slot carries a strictly
-  // increasing order key (reassigned when an update moves a slot to the
-  // tail of pivot_order_).
+  // --- Hyper-sparse solve machinery. Sparse passes (and the update's
+  // sparse dry run) need to order small active sets by pivot order without
+  // scanning it, so every slot carries a strictly increasing order key
+  // (reassigned when an update moves a slot to the tail of pivot_order_).
   std::vector<std::uint64_t> order_key_;
   std::uint64_t next_order_key_ = 0;
   /// Transposed L adjacency: constraint row -> elimination steps whose
@@ -280,7 +247,6 @@ class BasisLu {
   mutable std::vector<double> result_;
 
   mutable std::vector<double> scratch_;
-  mutable std::vector<double> scratch2_;
   mutable std::vector<double> spike_;        // post-L,R partial FTRAN
   mutable bool spike_valid_ = false;
   /// When valid, spike_ is zero outside spike_pattern_ and update() can

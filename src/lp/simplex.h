@@ -2,25 +2,21 @@
 // warm-started re-optimization.
 //
 // Exact (to numerical tolerance) LP oracle used for small and medium
-// instances: unit tests, cross-validation of the PDHG solver, and
-// rounding-algorithm verification. The basis is represented by a sparse LU
-// factorization (Markowitz-ordered, threshold-pivoted; see lp/lu.h) kept
-// current across pivots by Forrest–Tomlin updates of the U factor in place,
-// so per-iteration cost tracks the *current* basis sparsity rather than the
-// pivot history, and the refactorization period stretches into the
-// thousands. The PR 2 product-form eta file (Basis::ProductForm) and the
-// seed's dense explicit inverse (Basis::DenseInverse) stay selectable for
-// differential testing.
+// instances: per-class lower bounds, cross-validation of the PDHG solver,
+// and rounding-algorithm verification. One configuration: the basis is a
+// sparse LU factorization (Markowitz-ordered, threshold-pivoted; see
+// lp/lu.h) kept current across pivots by Forrest–Tomlin updates of the U
+// factor in place, so per-iteration cost tracks the *current* basis
+// sparsity rather than the pivot history, and the refactorization period
+// stretches into the thousands.
 //
 // Hot path: reduced costs, duals and the phase objective are maintained
-// incrementally across pivots (refreshed at every refactorization), and the
-// default pricing rule is dynamic Devex — reference weights updated from
-// the pivot row each iteration, with the reference framework reset when
-// the weights drift too far. Before declaring optimality after incremental
-// updates, the solver refactorizes and re-prices from scratch, so
-// termination is always certified against freshly computed duals. The
-// PR 1 static-weight partial pricing (Pricing::PartialDevex) and the
-// seed's full Dantzig scan (Pricing::DantzigFull) are kept selectable.
+// incrementally across pivots (refreshed at every refactorization), and
+// pricing is dynamic Devex — reference weights updated from the pivot row
+// each iteration, with the reference framework reset when the weights
+// drift too far. Before declaring optimality after incremental updates,
+// the solver refactorizes and re-prices from scratch, so termination is
+// always certified against freshly computed duals.
 //
 // Method::Dual runs the dual simplex instead: starting from a dual-feasible
 // basis (a supplied BasisSnapshot, repaired by flipping boxed nonbasics
@@ -29,11 +25,10 @@
 // restores feasibility with a bound-flipping ratio test — the natural
 // method when a previous solve's basis is nearly optimal for a model with
 // a handful of changed bounds or costs (planner phase 2, per-class
-// re-solves). When the dual path cannot run (no dual-feasible start, a
-// stall, an unusable snapshot, or Basis::DenseInverse), solve_simplex
-// transparently falls back to the cold two-phase primal and counts the
-// event under `simplex.dual.fallbacks`, so the result is correct either
-// way.
+// re-solves). When the dual path cannot finish (a stall beyond recovery or
+// a numerically dead pivot), solve_simplex transparently falls back to the
+// cold two-phase primal and counts the event under
+// `simplex.dual.fallbacks`, so the result is correct either way.
 #pragma once
 
 #include <cstddef>
@@ -50,100 +45,61 @@ struct SimplexOptions {
     /// Dual simplex: dual-feasible start (warm basis or cold slack basis,
     /// repaired by boxed-variable flips), leaving row chosen by primal
     /// infeasibility under dual Devex row weights, entering column by a
-    /// bound-flipping ratio test. Requires an LU basis; falls back to the
-    /// cold primal whenever a dual-feasible start cannot be established.
+    /// bound-flipping ratio test. Falls back to the cold primal whenever
+    /// the dual iteration cannot finish.
     Dual,
   };
   Method method = Method::Primal;
 
   /// Optional starting basis from a previous solve of a same-shaped model
   /// (LpSolution::basis). Borrowed for the duration of the solve. Ignored
-  /// when empty, shape-incompatible, singular for the new model, or the
-  /// basis is DenseInverse; a primal solve additionally requires the
-  /// imported point to be primal feasible (the dual method exists precisely
-  /// because re-optimization starts usually are not).
+  /// when empty, shape-incompatible or singular for the new model; a
+  /// primal solve additionally requires the imported point to be primal
+  /// feasible (the dual method exists precisely because re-optimization
+  /// starts usually are not).
   const BasisSnapshot* warm_start = nullptr;
 
   std::size_t max_iterations = 0;  // 0 = automatic (scales with model size)
   double tolerance = 1e-7;
-  /// Refactorize the basis every this many pivots; 0 = automatic (640 for
-  /// the product-form/dense paths whose update files degrade linearly with
-  /// the pivot count, 4096 for Forrest–Tomlin whose solves track current
-  /// factor sparsity — there the fill guard below usually fires first).
-  /// Incremental updates plus the refresh-before-optimal check keep long
-  /// periods safe.
+  /// Refactorize the basis every this many pivots; 0 = automatic (4096:
+  /// Forrest–Tomlin solves track current factor sparsity, so the fill
+  /// guard below usually fires first). Incremental updates plus the
+  /// refresh-before-optimal check keep long periods safe.
   std::size_t refactor_period = 0;
   /// Switch to Bland's rule after this many non-improving iterations.
   std::size_t stall_limit = 512;
 
-  enum class Pricing {
-    /// Dynamic Devex (default): reference weights updated from the pivot
-    /// row each basis change, reduced costs maintained incrementally, so
-    /// pricing is a cached-score scan with no matrix work. The reference
-    /// framework resets (all weights to 1) when the largest weight exceeds
-    /// devex_reset_threshold.
-    DevexDynamic,
-    /// Rotating partial-pricing window, candidates scored d^2 / gamma_j
-    /// with static reference weights gamma_j = 1 + ||A_j||^2 — the PR 1
-    /// path, kept for differential testing.
-    PartialDevex,
-    /// Full Dantzig scan (most-negative reduced cost) with duals fully
-    /// recomputed every iteration — the original reference path.
-    DantzigFull,
-  };
-  Pricing pricing = Pricing::DevexDynamic;
-  /// Columns scanned per partial-pricing round; 0 = automatic
-  /// (max(128, columns/8)). PartialDevex only.
-  std::size_t pricing_window = 0;
-  /// DevexDynamic only: reset the reference framework when the largest
-  /// weight exceeds this (weights grow monotonically between resets; very
-  /// large weights mean the reference frame no longer resembles the
-  /// current basis and the steepest-edge approximation has degraded).
+  /// Dynamic Devex pricing: reset the reference framework (all weights to
+  /// 1) when the largest weight exceeds this. Weights grow monotonically
+  /// between resets; very large weights mean the reference frame no longer
+  /// resembles the current basis and the steepest-edge approximation has
+  /// degraded.
   double devex_reset_threshold = 1e7;
 
-  enum class Basis {
-    /// Sparse LU with Forrest–Tomlin updates of U in place plus a compact
-    /// R-file of row etas (lp/lu.h): FTRAN/BTRAN cost follows the current
-    /// factor sparsity, not the pivot count.
-    ForrestTomlin,
-    /// Sparse LU plus product-form eta updates — the PR 2 path, kept for
-    /// differential testing; every solve traverses the whole eta file.
-    ProductForm,
-    /// Dense explicit inverse with O(m^2) product-form row updates — the
-    /// seed path, bit-identical to the original numerics; kept for
-    /// differential testing and as a fallback.
-    DenseInverse,
-  };
-  Basis basis = Basis::ForrestTomlin;
-  /// ProductForm only: refactorize when the eta file reaches this many
-  /// etas. Each eta makes every subsequent FTRAN/BTRAN a little more
-  /// expensive and a little less accurate; ~100 is the classic sweet spot.
-  std::size_t eta_limit = 128;
-  /// ForrestTomlin only: refactorize when the factor + R-file nonzeros
-  /// exceed this multiple of the post-factorization nonzeros (fill-in
-  /// guard; updates add spike and elimination fill that a fresh
-  /// factorization re-compresses).
+  /// Refactorize when the factor + R-file nonzeros exceed this multiple of
+  /// the post-factorization nonzeros (fill-in guard; updates add spike and
+  /// elimination fill that a fresh factorization re-compresses).
   double ft_fill_factor = 3.0;
-  /// LU bases: a ratio-test pivot smaller than this while updates have
-  /// been applied is treated as possible numerical drift — the basis is
-  /// refactorized and the iteration retried on fresh numbers before the
-  /// pivot is trusted.
+  /// A ratio-test pivot smaller than this while updates have been applied
+  /// is treated as possible numerical drift — the basis is refactorized
+  /// and the iteration retried on fresh numbers before the pivot is
+  /// trusted.
   double lu_stability_tolerance = 1e-7;
-  /// LU bases: Markowitz threshold-pivoting factor in (0, 1]; a pivot
-  /// must reach this fraction of its column's largest active entry.
+  /// Markowitz threshold-pivoting factor in (0, 1]; a pivot must reach
+  /// this fraction of its column's largest active entry.
   double lu_pivot_threshold = 0.1;
 
-  /// ForrestTomlin only: RHS-density cutoff for the hyper-sparse
-  /// FTRAN/BTRAN kernels. A solve whose tracked nonzero pattern stays
-  /// below this fraction of the row count runs the graph-driven sparse
-  /// triangular passes; above it, the cache-blocked dense scatter runs
-  /// instead. 0 forces every solve dense, 1 (or more) keeps solves sparse
-  /// whenever the pattern allows. Both paths compute bit-identical
-  /// nonzero values, so this knob trades time only, never answers.
+  /// RHS-density cutoff for the hyper-sparse FTRAN/BTRAN kernels. A solve
+  /// whose tracked nonzero pattern stays below this fraction of the row
+  /// count runs the graph-driven sparse triangular passes; above it, the
+  /// cache-blocked dense scatter runs instead. 0 forces every solve dense,
+  /// 1 (or more) keeps solves sparse whenever the pattern allows. Both
+  /// paths compute bit-identical nonzero values, so this knob trades time
+  /// only, never answers.
   double sparse_density_threshold = 0.1;
-  /// ForrestTomlin only: when the R-file reaches this many entries, fold
-  /// the accumulated row etas back into U in place (lu.h compress_rfile)
-  /// instead of paying a full refactorization. 0 = automatic: max(256,
+  /// When the R-file reaches this many entries, fold the accumulated row
+  /// etas back into U in place (lu.h compress_rfile) instead of paying a
+  /// full refactorization. 0 = automatic: max(256,
   /// rows/4), engaged only on models of at least 512 rows (below that a
   /// refactorization is cheap and the fold's roundoff perturbation would
   /// shift small-model pivot sequences). A failed or numerically refused

@@ -41,9 +41,6 @@ class ColumnMajorMatrix {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t nonzeros() const { return values_.size(); }
-  std::size_t col_size(std::size_t j) const {
-    return col_start_[j + 1] - col_start_[j];
-  }
 
   /// Iterate the nonzeros of column j as fn(row, value), rows ascending.
   template <typename Fn>
@@ -51,9 +48,6 @@ class ColumnMajorMatrix {
     for (std::size_t i = col_start_[j]; i < col_start_[j + 1]; ++i)
       fn(row_index_[i], values_[i]);
   }
-
-  /// Squared Euclidean norm of column j.
-  double col_norm_squared(std::size_t j) const;
 
   /// Dot product of column j with a dense row-indexed vector — the hot
   /// kernel of the simplex pricing pass (alpha~_j = rho~ . A_j for every

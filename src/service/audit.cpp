@@ -178,13 +178,10 @@ void publish_audit_metrics(const RegretAudit& audit) {
                         static_cast<double>(audit.events_since_publish));
   if (!audit.bound_certified) return;
   obs::gauge_set("service.regret.bound", audit.lower_bound);
+  if (!audit.has_regret()) return;
   obs::gauge_set("service.regret.abs", audit.regret);
   obs::gauge_set("service.regret.rel", audit.relative_regret);
-  // The distribution only samples feasible incumbents: an infeasible one
-  // can sit below the drifted bound (negative "regret"), which says the
-  // plan is broken, not that it is beating the optimum.
-  if (audit.feasible())
-    obs::histogram_record("service.regret.rel.dist", audit.relative_regret);
+  obs::histogram_record("service.regret.rel.dist", audit.relative_regret);
 }
 
 }  // namespace wanplace::service

@@ -50,11 +50,16 @@ struct RegretAudit {
   // the warm re-solve (audit_incumbent leaves them zero).
   double lower_bound = 0;
   bool bound_certified = false;  // re-solve reached optimality
-  double regret = 0;             // cost - lower_bound (when certified)
+  double regret = 0;             // cost - lower_bound (when has_regret())
   double relative_regret = 0;    // regret / max(lower_bound, 1)
   std::uint64_t events_since_publish = 0;
 
   bool feasible() const { return exists && create_valid && goal_met; }
+  /// Regret means something only for a feasible incumbent against a
+  /// certified bound: an infeasible plan can sit below the drifted bound,
+  /// and that negative "regret" says the plan is broken, not that it beats
+  /// the optimum.
+  bool has_regret() const { return bound_certified && feasible(); }
 };
 
 /// Evaluate `placement` against (instance, spec): achieved QoS per group,

@@ -289,7 +289,7 @@ EventOutcome PlacementDaemon::finish(EventOutcome out,
       out.audit = audit_incumbent(instance_, options_.spec, *incumbent_);
       out.audit.lower_bound = out.lower_bound;
       out.audit.bound_certified = out.achievable;
-      if (out.audit.bound_certified) {
+      if (out.audit.has_regret()) {
         out.audit.regret = out.audit.cost - out.audit.lower_bound;
         out.audit.relative_regret =
             out.audit.regret / std::max(out.audit.lower_bound, 1.0);
@@ -353,7 +353,7 @@ void PlacementDaemon::append_point(const EventOutcome& out,
       point.values.emplace_back("qos_slack", out.audit.qos_slack);
       point.values.emplace_back(
           "staleness", static_cast<double>(out.audit.events_since_publish));
-      if (out.audit.bound_certified) {
+      if (out.audit.has_regret()) {
         point.values.emplace_back("regret", out.audit.regret);
         point.values.emplace_back("relative_regret",
                                   out.audit.relative_regret);
@@ -374,10 +374,11 @@ DaemonStatus PlacementDaemon::status() const {
   status.incumbent_cost = last_audit_.exists ? last_audit_.cost : 0;
   status.published_cost = published_cost_;
   status.lower_bound = last_bound_;
-  if (last_audit_.exists && last_audit_.bound_certified) {
+  if (last_audit_.has_regret()) {
     status.regret = last_audit_.regret;
     status.relative_regret = last_audit_.relative_regret;
   }
+  status.incumbent_infeasible = last_audit_.exists && !last_audit_.feasible();
   status.margin = options_.policy.min_relative_gain;
   status.last_reason = last_reason_;
   status.events = events_;

@@ -82,7 +82,8 @@ struct DaemonStatus {
   double published_cost = 0;   // its cost at the moment it was published
   double lower_bound = 0;      // latest certified bound
   double regret = 0;           // incumbent_cost - lower_bound
-  double relative_regret = 0;
+  double relative_regret = 0;  // (both 0 unless the audit has_regret())
+  bool incumbent_infeasible = false;  // live plan failed its last audit
   double margin = 0;           // policy min_relative_gain in force
   std::string last_reason;     // last publish-policy reason
   std::uint64_t events = 0;    // total events ingested (incl. rejected)

@@ -1,4 +1,5 @@
-// Seeded random LP generator for the differential solver harness.
+// Seeded random LP generator for the differential solver harness, plus
+// the KKT certificate check that serves as its reference.
 //
 // Each seed deterministically produces one LP with randomized shape
 // (variable/row counts), sparsity, bound structure (finite boxes, free
@@ -8,15 +9,24 @@
 // unbounded instances so status agreement is exercised on all three
 // outcomes. Degenerate instances (many rows tight at the construction
 // point) are generated on purpose: they are where basis-management bugs
-// (cycling, stale eta files, drift) actually live.
+// (cycling, stale R-files, drift) actually live.
+//
+// kkt_check() certifies a claimed optimum from the model and the returned
+// (x, y) alone: primal feasibility, dual signs, dual feasibility on the
+// infinite sides of the variable box, and a zero duality gap against the
+// weak-duality bound at y. It shares no code with the simplex, so it can
+// judge the solver's single configuration without a second solver path.
 //
 // The base seed is WANPLACE_FUZZ_SEED when set (export it to replay a CI
 // failure locally), else a fixed default so the suite is reproducible.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "lp/model.h"
 #include "util/rng.h"
@@ -317,7 +327,7 @@ inline FuzzLp fuzz_near_singular(Rng& rng) {
 // costs. These routinely take far more pivots than the small classic
 // instances; the differential harness additionally replays them with a
 // tiny refactor period so pivot sequences run well past 2x the period
-// and the update machinery (eta file / FT R-file) is the long pole.
+// and the update machinery (the Forrest-Tomlin R-file) is the long pole.
 inline FuzzLp fuzz_long_pivot(Rng& rng) {
   FuzzLp out;
   out.profile = FuzzProfile::LongPivot;
@@ -364,9 +374,8 @@ inline FuzzLp fuzz_long_pivot(Rng& rng) {
 
 /// Deterministically generate one adversarial LP from `seed`. Rolls one of
 /// the three targeted profiles (pricing ties / near-singular pairs / long
-/// pivot sequences), all feasible and bounded by construction — the
-/// differential harness compares exact objectives across every solver
-/// configuration, which only makes sense on Optimal instances.
+/// pivot sequences), all feasible and bounded by construction — so every
+/// instance must come back Optimal with a KKT certificate.
 inline FuzzLp fuzz_adversarial_lp(std::uint64_t seed) {
   Rng rng(seed ^ 0xADBEEFULL);
   switch (rng.uniform_index(3)) {
@@ -377,6 +386,116 @@ inline FuzzLp fuzz_adversarial_lp(std::uint64_t seed) {
     default:
       return detail::fuzz_long_pivot(rng);
   }
+}
+
+/// Tolerances of kkt_check(): kKktPrimalTol bounds LpModel::max_violation
+/// (bounds absolute, rows relative to 1 + |rhs|); kKktDualTol bounds
+/// wrong-sign duals and reduced costs on infinite sides of the box;
+/// kKktGapTol bounds |c^T x - bound| relative to 1 + |c^T x|.
+inline constexpr double kKktPrimalTol = 1e-7;
+inline constexpr double kKktDualTol = 1e-9;
+inline constexpr double kKktGapTol = 1e-7;
+
+/// What kkt_check() measured, and the first condition it found violated.
+struct KktReport {
+  double primal_violation = 0;     // LpModel::max_violation(x)
+  double dual_sign_violation = 0;  // worst wrong-sign |y_r| for its row type
+  double dual_infeasibility = 0;   // worst reduced cost toward an inf bound
+  double objective = 0;            // c^T x
+  double bound = -lp::kInfinity;   // weak-duality bound at y
+  double relative_gap = lp::kInfinity;
+  std::string failure;             // empty when the certificate holds
+
+  bool certified() const { return failure.empty(); }
+};
+
+/// Certify that (x, y) is an optimal primal-dual pair of `model` using only
+/// the model: x within the rows and the box, y of the sign its row type
+/// requires (>= 0 for Ge, <= 0 for Le), reduced costs d = c - A^T y of the
+/// sign the box allows wherever a bound is infinite, and c^T x equal to the
+/// weak-duality bound certified_dual_bound(model, y). When that bound is
+/// -infinity only because a reduced cost within kKktDualTol of zero sits on
+/// an infinite side, the same Lagrangian is evaluated with those reduced
+/// costs taken as zero (a free column whose reduced cost is roundoff).
+inline KktReport kkt_check(const lp::LpModel& model,
+                           const std::vector<double>& x,
+                           const std::vector<double>& y) {
+  KktReport report;
+  if (x.size() != model.variable_count() || y.size() != model.row_count()) {
+    report.failure = "solution arity does not match the model";
+    return report;
+  }
+  report.primal_violation = model.max_violation(x);
+  report.objective = model.objective_value(x);
+
+  // Dual signs, then the Lagrangian at the sign-clamped duals (the
+  // clamping certified_dual_bound applies too).
+  std::vector<double> yc(y);
+  for (std::size_t r = 0; r < model.row_count(); ++r) {
+    double wrong = 0;
+    switch (model.row(r).type) {
+      case lp::RowType::Ge:
+        wrong = std::max(0.0, -y[r]);
+        yc[r] = std::max(0.0, y[r]);
+        break;
+      case lp::RowType::Le:
+        wrong = std::max(0.0, y[r]);
+        yc[r] = std::min(0.0, y[r]);
+        break;
+      case lp::RowType::Eq:
+        break;
+    }
+    report.dual_sign_violation = std::max(report.dual_sign_violation, wrong);
+  }
+  std::vector<double> reduced(model.variable_count());
+  for (std::size_t j = 0; j < reduced.size(); ++j)
+    reduced[j] = model.objective(j);
+  double tolerant_bound = 0;
+  for (std::size_t r = 0; r < model.row_count(); ++r) {
+    const auto& row = model.row(r);
+    tolerant_bound += yc[r] * row.rhs;
+    for (std::size_t i = 0; i < row.cols.size(); ++i)
+      reduced[row.cols[i]] -= yc[r] * row.coeffs[i];
+  }
+  for (std::size_t j = 0; j < reduced.size(); ++j) {
+    const double d = reduced[j];
+    const double lo = model.lower(j), up = model.upper(j);
+    if (d > 0) {
+      if (lo == -lp::kInfinity) {
+        report.dual_infeasibility = std::max(report.dual_infeasibility, d);
+      } else {
+        tolerant_bound += d * lo;
+      }
+    } else if (d < 0) {
+      if (up == lp::kInfinity) {
+        report.dual_infeasibility = std::max(report.dual_infeasibility, -d);
+      } else {
+        tolerant_bound += d * up;
+      }
+    }
+  }
+  report.bound = lp::certified_dual_bound(model, y);
+  if (report.bound == -lp::kInfinity &&
+      report.dual_infeasibility <= kKktDualTol)
+    report.bound = tolerant_bound;
+  report.relative_gap = std::abs(report.objective - report.bound) /
+                        (1 + std::abs(report.objective));
+
+  if (!(report.primal_violation <= kKktPrimalTol)) {
+    report.failure = "x violates a row or bound by " +
+                     std::to_string(report.primal_violation);
+  } else if (!(report.dual_sign_violation <= kKktDualTol)) {
+    report.failure = "a dual has the wrong sign by " +
+                     std::to_string(report.dual_sign_violation);
+  } else if (!(report.dual_infeasibility <= kKktDualTol)) {
+    report.failure = "a reduced cost points at an infinite bound by " +
+                     std::to_string(report.dual_infeasibility);
+  } else if (!(report.relative_gap <= kKktGapTol)) {
+    report.failure = "duality gap " + std::to_string(report.relative_gap) +
+                     " (objective " + std::to_string(report.objective) +
+                     ", bound " + std::to_string(report.bound) + ")";
+  }
+  return report;
 }
 
 }  // namespace wanplace::test

@@ -1,21 +1,25 @@
 // Randomized differential LP harness.
 //
-// Four independently implemented solve paths — simplex over the
-// Forrest-Tomlin basis with dynamic Devex pricing (the default), simplex
-// over the product-form eta file with static partial Devex (the previous
-// default), simplex over the dense explicit inverse (the seed path,
-// bit-identical numerics), and PDHG — are run over a seeded stream of
-// random LPs (tests/lp_fuzz.h) and over real MC-PERF relaxations, and must
-// agree on status and objective to 1e-7. The simplex paths share neither
-// basis algebra nor pricing, so any FT elimination / R-file / eta / Devex
-// weight defect shows up as a status or objective split here long before it
-// corrupts a paper experiment.
+// The simplex (Forrest-Tomlin basis, dynamic Devex pricing — its only
+// configuration) runs over a seeded stream of random LPs (tests/lp_fuzz.h)
+// and over real MC-PERF relaxations. Three references judge every solve,
+// none of which shares code with the simplex:
+//   - the status each fuzz instance has by construction (Optimal,
+//     Infeasible or Unbounded);
+//   - the KKT certificate check (test::kkt_check): x primal feasible, y of
+//     the right signs, reduced costs dual feasible on infinite sides, and
+//     c^T x equal to the weak-duality bound at y;
+//   - PDHG, whose certified dual bound must never exceed the optimum.
+// Any FT elimination / R-file / Devex weight defect shows up as a status
+// mismatch or a rejected certificate here long before it corrupts a paper
+// experiment.
 //
 // The stream is three-tiered: classic shards (randomized shape/bounds/row
 // mix), adversarial shards (pricing ties, near-singular column pairs, long
 // pivot sequences — see fuzz_adversarial_lp), and a stress shard that
-// replays instances with a tiny refactor period and eta limit so pivot
-// sequences run well past 2x the refactor period on every path.
+// replays instances with a tiny refactor period and fill factor so pivot
+// sequences run well past 2x the refactor period. The KktOracle suite at
+// the end shows the certificate check itself rejects bad solutions.
 //
 // Re-run a failing case locally with WANPLACE_FUZZ_SEED=<base> (the base
 // seed is printed in every failure message; per-case seeds are base+offset).
@@ -26,101 +30,54 @@
 
 #include <cmath>
 #include <cstddef>
+#include <variant>
 
-#include "bounds/engine.h"
 #include "instance_helpers.h"
 #include "lp/model.h"
 #include "lp/pdhg.h"
 #include "lp/simplex.h"
 #include "lp_fuzz.h"
+#include "mcperf/achievability.h"
 #include "mcperf/builder.h"
 #include "mcperf/heuristic_class.h"
 
 namespace wanplace::lp {
 namespace {
 
-SimplexOptions ft_options() {
-  SimplexOptions options;
-  options.basis = SimplexOptions::Basis::ForrestTomlin;
-  options.pricing = SimplexOptions::Pricing::DevexDynamic;
-  return options;
-}
-
-SimplexOptions pf_options() {
-  SimplexOptions options;
-  options.basis = SimplexOptions::Basis::ProductForm;
-  options.pricing = SimplexOptions::Pricing::PartialDevex;
-  return options;
-}
-
-SimplexOptions dense_options() {
-  SimplexOptions options;
-  options.basis = SimplexOptions::Basis::DenseInverse;
-  options.pricing = SimplexOptions::Pricing::PartialDevex;
-  return options;
-}
-
 /// Stress variant: force the update machinery to be the long pole. Every
 /// pivot sequence longer than ~8 iterations runs past 2x the refactor
-/// period, the product-form path additionally trips its eta limit, and the
-/// FT path trips its fill guard almost immediately.
-SimplexOptions stressed(SimplexOptions options) {
+/// period, and the fill guard trips almost immediately.
+SimplexOptions stressed() {
+  SimplexOptions options;
   options.refactor_period = 4;
-  options.eta_limit = 8;
   options.ft_fill_factor = 1.05;
   return options;
 }
 
-/// Run one generated instance through all simplex paths (plus PDHG on
-/// optimal instances) and cross-check. `tweak` lets the stress shard
-/// tighten the basis-management knobs on every path at once.
+/// Solve one generated instance and judge it against its constructed
+/// status, the KKT certificate and PDHG's weak-duality bound.
 void check_instance(const test::FuzzLp& fuzz, const std::string& tag,
-                    SimplexOptions (*tweak)(SimplexOptions) = nullptr) {
-  auto ft_opts = ft_options();
-  auto pf_opts = pf_options();
-  auto dense_opts = dense_options();
-  if (tweak) {
-    ft_opts = tweak(ft_opts);
-    pf_opts = tweak(pf_opts);
-    dense_opts = tweak(dense_opts);
-  }
-
-  const auto ft = solve_simplex(fuzz.model, ft_opts);
-  const auto pf = solve_simplex(fuzz.model, pf_opts);
-  const auto dense = solve_simplex(fuzz.model, dense_opts);
-
-  // All basis representations must agree on status, always.
-  ASSERT_EQ(ft.status, dense.status) << tag;
-  ASSERT_EQ(pf.status, dense.status) << tag;
-
+                    const SimplexOptions& options = {}) {
+  const auto sol = solve_simplex(fuzz.model, options);
   switch (fuzz.kind) {
     case test::FuzzKind::Infeasible:
-      ASSERT_EQ(ft.status, SolveStatus::Infeasible) << tag;
+      ASSERT_EQ(sol.status, SolveStatus::Infeasible) << tag;
       return;  // PDHG's infeasibility detection is heuristic; skip it.
     case test::FuzzKind::Unbounded:
-      ASSERT_EQ(ft.status, SolveStatus::Unbounded) << tag;
+      ASSERT_EQ(sol.status, SolveStatus::Unbounded) << tag;
       return;
     case test::FuzzKind::Feasible:
-      // Feasible by construction: never Infeasible. Free variables with
-      // constrained rows can still make the instance legitimately
-      // unbounded — all paths must agree on that (checked above).
-      ASSERT_NE(ft.status, SolveStatus::Infeasible) << tag;
+      // Feasible by construction, and bounded: free variables carry zero
+      // cost and every other variable is boxed.
+      ASSERT_EQ(sol.status, SolveStatus::Optimal) << tag;
       break;
   }
-  if (ft.status != SolveStatus::Optimal) return;
-
-  const double scale = 1 + std::abs(dense.objective);
-  EXPECT_NEAR(ft.objective, dense.objective, 1e-7 * scale) << tag;
-  EXPECT_NEAR(pf.objective, dense.objective, 1e-7 * scale) << tag;
-  // Certificates may differ in tightness between the paths (clamping a
-  // free-variable dual can push any of them to -inf), but each must be a
-  // valid lower bound on the common optimum.
-  EXPECT_LE(ft.dual_bound, dense.objective + 1e-7 * scale) << tag;
-  EXPECT_LE(pf.dual_bound, dense.objective + 1e-7 * scale) << tag;
-  EXPECT_LE(dense.dual_bound, dense.objective + 1e-7 * scale) << tag;
-  EXPECT_LE(fuzz.model.max_violation(ft.x), 1e-6) << tag;
-  EXPECT_LE(fuzz.model.max_violation(pf.x), 1e-6) << tag;
-  EXPECT_LE(fuzz.model.max_violation(dense.x), 1e-6) << tag;
+  const auto kkt = test::kkt_check(fuzz.model, sol.x, sol.y);
+  EXPECT_TRUE(kkt.certified()) << tag << ": " << kkt.failure;
+  // The solver's own certificate may be looser than the check's (clamping
+  // a free-variable dual can push it to -inf) but must be a valid bound.
+  const double scale = 1 + std::abs(sol.objective);
+  EXPECT_LE(sol.dual_bound, sol.objective + 1e-7 * scale) << tag;
 
   // PDHG: its certificate must never overstate the simplex optimum; when
   // it reports convergence its objective must land within first-order
@@ -129,7 +86,7 @@ void check_instance(const test::FuzzLp& fuzz, const std::string& tag,
   pdhg.max_iterations = 60000;
   pdhg.tolerance = 1e-6;
   const auto approx = solve_pdhg(fuzz.model, pdhg);
-  EXPECT_LE(approx.dual_bound, dense.objective + 1e-6 * scale) << tag;
+  EXPECT_LE(approx.dual_bound, sol.objective + 1e-6 * scale) << tag;
   // PDHG can stall at a suboptimal stationary point when the model has
   // doubly-unbounded variables (its certificate degrades to -inf there, so
   // the bound stays valid — MC-PERF relaxations never produce free
@@ -137,7 +94,7 @@ void check_instance(const test::FuzzLp& fuzz, const std::string& tag,
   // on the exact optimum to first-order accuracy.
   if (!fuzz.has_free && approx.status == SolveStatus::Optimal &&
       fuzz.model.max_violation(approx.x) <= 1e-5) {
-    EXPECT_NEAR(approx.objective, dense.objective, 1e-2 * scale) << tag;
+    EXPECT_NEAR(approx.objective, sol.objective, 1e-2 * scale) << tag;
   }
 }
 
@@ -224,10 +181,10 @@ void check_warm_pair(std::uint64_t base, std::uint64_t offset) {
   const auto tag = case_tag("warm", base, offset, fuzz);
   const auto perturbed = test::fuzz_warm_perturbed(fuzz, base + offset);
 
-  const auto seed_sol = solve_simplex(fuzz.model, ft_options());
-  const auto cold = solve_simplex(perturbed.model, ft_options());
+  const auto seed_sol = solve_simplex(fuzz.model);
+  const auto cold = solve_simplex(perturbed.model);
 
-  auto dual_opts = ft_options();
+  SimplexOptions dual_opts;
   dual_opts.method = SimplexOptions::Method::Dual;
   if (!seed_sol.basis.empty()) dual_opts.warm_start = &seed_sol.basis;
   const auto warm = solve_simplex(perturbed.model, dual_opts);
@@ -281,10 +238,10 @@ TEST(FuzzWarm, PerturbedBoundPairsShard3) {
 }
 
 // Stress shard: replay a seeded mix of classic and adversarial instances
-// with refactor_period=4 / eta_limit=8 / ft_fill_factor=1.05 on every
-// path. The long-pivot profiles routinely take 30+ pivots here, i.e. far
-// past 2x the refactor period, so eta replay, FT spike elimination, the
-// fill guard and the fallback-to-refactorize path all fire constantly.
+// with refactor_period=4 / ft_fill_factor=1.05. The long-pivot profiles
+// routinely take 30+ pivots here, i.e. far past 2x the refactor period, so
+// FT spike elimination, the fill guard and the fallback-to-refactorize
+// path all fire constantly.
 TEST(FuzzStress, TinyRefactorPeriodAcrossBases) {
   const std::uint64_t base = test::fuzz_base_seed();
   const std::uint64_t n = test::fuzz_shard_count();
@@ -292,48 +249,47 @@ TEST(FuzzStress, TinyRefactorPeriodAcrossBases) {
     if (i % 2 == 0) {
       const auto fuzz = test::fuzz_lp(base + 4 * n + i);
       check_instance(fuzz, case_tag("stress/classic", base, 4 * n + i, fuzz),
-                     &stressed);
+                     stressed());
     } else {
       const auto fuzz = test::fuzz_adversarial_lp(base + 4 * n + i);
       check_instance(fuzz,
                      case_tag("stress/adversarial", base, 4 * n + i, fuzz),
-                     &stressed);
+                     stressed());
     }
   }
 }
 
 // ---------------------------------------------------------------------------
 // Real MC-PERF relaxations: the LP family the paper actually solves. These
-// are larger and tree-structured — exactly the shape the sparse bases
-// target.
+// are larger and tree-structured — exactly the shape the sparse basis
+// targets. Their status reference is the combinatorial achievability
+// analysis (mcperf/achievability.h): a class that cannot reach the QoS
+// goal (e.g. reactive creation against cold-start demand) makes the
+// relaxation infeasible; otherwise the solve must come back Optimal with a
+// KKT certificate.
 
 void check_mcperf(const mcperf::Instance& instance,
                   const mcperf::ClassSpec& spec, const std::string& tag) {
   const auto built = mcperf::build_lp(instance, spec);
+  const auto sol = solve_simplex(built.model);
+  const double tqos = std::get<mcperf::QosGoal>(instance.goal).tqos;
+  const bool achievable =
+      mcperf::max_achievable_qos(instance, spec).achievable(tqos);
+  ASSERT_EQ(sol.status,
+            achievable ? SolveStatus::Optimal : SolveStatus::Infeasible)
+      << tag;
+  if (!achievable) return;
+  const auto kkt = test::kkt_check(built.model, sol.x, sol.y);
+  EXPECT_TRUE(kkt.certified()) << tag << ": " << kkt.failure;
 
-  const auto ft = solve_simplex(built.model, ft_options());
-  const auto pf = solve_simplex(built.model, pf_options());
-  const auto dense = solve_simplex(built.model, dense_options());
-  ASSERT_EQ(ft.status, dense.status) << tag;
-  ASSERT_EQ(pf.status, dense.status) << tag;
-  // Some class/instance pairs are legitimately infeasible (e.g. reactive
-  // creation against cold-start demand); all paths agreeing on that via
-  // phase 1 is still a differential check.
-  if (ft.status != SolveStatus::Optimal) return;
-
-  const double scale = 1 + std::abs(dense.objective);
-  EXPECT_NEAR(ft.objective, dense.objective, 1e-7 * scale) << tag;
-  EXPECT_NEAR(pf.objective, dense.objective, 1e-7 * scale) << tag;
-  EXPECT_LE(built.model.max_violation(ft.x), 1e-6) << tag;
-  EXPECT_LE(built.model.max_violation(pf.x), 1e-6) << tag;
-
+  const double scale = 1 + std::abs(sol.objective);
   PdhgOptions pdhg;
   pdhg.max_iterations = 150000;
   pdhg.tolerance = 1e-6;
   const auto approx = solve_pdhg(built.model, pdhg);
-  EXPECT_LE(approx.dual_bound, dense.objective + 1e-6 * scale) << tag;
+  EXPECT_LE(approx.dual_bound, sol.objective + 1e-6 * scale) << tag;
   if (approx.status == SolveStatus::Optimal) {
-    EXPECT_NEAR(approx.objective, dense.objective, 5e-3 * scale) << tag;
+    EXPECT_NEAR(approx.objective, sol.objective, 5e-3 * scale) << tag;
   }
 }
 
@@ -354,29 +310,70 @@ TEST(McPerfDifferential, RandomInstanceAcrossClasses) {
                "waxman/storage_constrained");
 }
 
-// The engine's Auto solver must produce the same certified bound whichever
-// basis the simplex uses underneath.
-TEST(McPerfDifferential, EngineBoundInvariantToBasis) {
-  const auto instance = test::random_instance(7);
-  const SimplexOptions::Basis bases[] = {SimplexOptions::Basis::ForrestTomlin,
-                                         SimplexOptions::Basis::ProductForm,
-                                         SimplexOptions::Basis::DenseInverse};
-  bounds::BoundOptions reference_opts;
-  reference_opts.solver = bounds::BoundOptions::Solver::Simplex;
-  reference_opts.simplex.basis = SimplexOptions::Basis::DenseInverse;
-  const auto reference = bounds::compute_bound(
-      instance, mcperf::classes::general(), reference_opts);
-  for (const auto basis : bases) {
-    bounds::BoundOptions options;
-    options.solver = bounds::BoundOptions::Solver::Simplex;
-    options.simplex.basis = basis;
-    const auto bound =
-        bounds::compute_bound(instance, mcperf::classes::general(), options);
-    ASSERT_EQ(bound.status, reference.status) << static_cast<int>(basis);
-    EXPECT_NEAR(bound.lower_bound, reference.lower_bound,
-                1e-7 * (1 + std::abs(reference.lower_bound)))
-        << static_cast<int>(basis);
-  }
+// ---------------------------------------------------------------------------
+// The KKT check is only a reference if it rejects what is not optimal. The
+// fixture: min -x - 2y over x, y in [0, 3] with x + y <= 4 and x - y >= -1.
+// The optimum (1.5, 2.5) makes both rows tight, with duals -1.5 (Le row)
+// and 0.5 (Ge row); the all-slack start is feasible and the solver needs
+// more than one pivot to reach the optimum.
+
+LpModel kkt_fixture() {
+  LpModel model;
+  const auto x = model.add_variable(0, 3, -1);
+  const auto y = model.add_variable(0, 3, -2);
+  model.add_row(RowType::Le, 4, {x, y}, {1, 1});
+  model.add_row(RowType::Ge, -1, {x, y}, {1, -1});
+  return model;
+}
+
+TEST(KktOracle, CertifiesTheOptimum) {
+  const auto model = kkt_fixture();
+  const auto sol = solve_simplex(model);
+  ASSERT_EQ(sol.status, SolveStatus::Optimal);
+  const auto kkt = test::kkt_check(model, sol.x, sol.y);
+  EXPECT_TRUE(kkt.certified()) << kkt.failure;
+  EXPECT_NEAR(kkt.objective, -6.5, 1e-12);
+  EXPECT_LE(kkt.relative_gap, 1e-12);
+}
+
+TEST(KktOracle, RejectsPointMovedOffTightRow) {
+  const auto model = kkt_fixture();
+  const auto sol = solve_simplex(model);
+  ASSERT_EQ(sol.status, SolveStatus::Optimal);
+  auto x = sol.x;
+  x[0] += 1e-4;  // x + y = 4 is tight: now 4.0001
+  const auto kkt = test::kkt_check(model, x, sol.y);
+  EXPECT_FALSE(kkt.certified());
+  EXPECT_GT(kkt.primal_violation, 1e-5);
+}
+
+TEST(KktOracle, RejectsFlippedDualSign) {
+  const auto model = kkt_fixture();
+  const auto sol = solve_simplex(model);
+  ASSERT_EQ(sol.status, SolveStatus::Optimal);
+  ASSERT_GT(sol.y[1], 0.1);  // the Ge row's dual
+  auto y = sol.y;
+  y[1] = -y[1];
+  const auto kkt = test::kkt_check(model, sol.x, y);
+  EXPECT_FALSE(kkt.certified());
+  EXPECT_GT(kkt.dual_sign_violation, 0.1);
+}
+
+TEST(KktOracle, RejectsFeasibleNonOptimalBasicPoint) {
+  const auto model = kkt_fixture();
+  const auto full = solve_simplex(model);
+  ASSERT_EQ(full.status, SolveStatus::Optimal);
+  ASSERT_GT(full.iterations, 1u);
+  SimplexOptions capped;
+  capped.max_iterations = 1;
+  const auto sol = solve_simplex(model, capped);
+  ASSERT_EQ(sol.status, SolveStatus::IterationLimit);
+  const auto kkt = test::kkt_check(model, sol.x, sol.y);
+  // A basic point of the feasible region, so only optimality can fail.
+  EXPECT_LE(kkt.primal_violation, 1e-12);
+  EXPECT_GT(kkt.objective, full.objective + 1);
+  EXPECT_FALSE(kkt.certified());
+  EXPECT_GT(kkt.relative_gap, 0.1);
 }
 
 }  // namespace

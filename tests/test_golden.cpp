@@ -3,23 +3,19 @@
 // A small fixed MC-PERF fixture (4-node line, 3 intervals, 3 objects) is
 // solved for a representative slice of heuristic classes and the certified
 // lower bounds are compared against frozen values:
-//   - with Basis::DenseInverse and the seed's static PartialDevex pricing
-//     the entire pipeline is deterministic integer and double arithmetic
-//     with a fixed operation order, so the bound must reproduce BIT FOR
-//     BIT — any change is a semantic change to the seed numerics and must
-//     be deliberate;
-//   - with the sparse bases (ProductForm eta file, and the default
-//     ForrestTomlin with dynamic Devex pricing) the pivot order differs,
-//     so the bound must agree to 1e-7 relative — those paths are "same
-//     answer, different arithmetic";
-//   - the dynamic-Devex iteration counts themselves are pinned (kDevex
+//   - kGolden holds bounds and achievability values frozen from an earlier
+//     exact solver (a dense explicit inverse under static pricing); the
+//     simplex must reproduce the bounds to 1e-7 relative and the
+//     achievability values exactly — "same answer, different arithmetic";
+//   - the simplex iteration counts themselves are pinned (kDevex and kDual
 //     below, plus Beale): pricing is deterministic, so a changed count
 //     means the pricing rule changed and the fixture must be deliberately
 //     regenerated.
 //
 // To regenerate after a DELIBERATE semantic change, run this binary with
-// WANPLACE_PRINT_GOLDEN=1 and paste the emitted tables over kGolden /
-// kDevex.
+// WANPLACE_PRINT_GOLDEN=1 and paste the emitted tables over kDevex / kDual
+// / kGoldenTree. kGolden is a reference, not a snapshot of this solver:
+// regenerate it only when the model itself changes.
 
 #include <gtest/gtest.h>
 
@@ -57,12 +53,12 @@ mcperf::Instance golden_instance() {
 
 struct GoldenCase {
   const char* name;            // preset name in mcperf::classes
-  double lower_bound;          // frozen DenseInverse bound
+  double lower_bound;          // frozen reference bound
   double max_achievable_qos;   // frozen achievability value
 };
 
-// Frozen values for golden_instance(), DenseInverse basis,
-// Solver::Simplex. Printed with %.17g so they round-trip exactly.
+// Frozen values for golden_instance(), Solver::Simplex, from the earlier
+// dense-inverse solver. Printed with %.17g so they round-trip exactly.
 constexpr GoldenCase kGolden[] = {
     {"general", 9.680909090909088, 1},
     {"storage_constrained", 11.727142857142846, 1},
@@ -89,65 +85,23 @@ mcperf::ClassSpec spec_by_name(const std::string& name) {
   return general();
 }
 
-bounds::BoundOptions golden_options(lp::SimplexOptions::Basis basis) {
+bounds::BoundOptions golden_options() {
   bounds::BoundOptions options;
   options.solver = bounds::BoundOptions::Solver::Simplex;
-  options.simplex.basis = basis;
-  // The kGolden table was frozen under the seed's static pricing rule; pin
-  // it explicitly so the DenseInverse fixtures stay bit-for-bit even though
-  // the solver default moved to DevexDynamic.
-  options.simplex.pricing = lp::SimplexOptions::Pricing::PartialDevex;
   return options;
 }
 
-bounds::BoundOptions devex_options() {
-  bounds::BoundOptions options;
-  options.solver = bounds::BoundOptions::Solver::Simplex;
-  options.simplex.basis = lp::SimplexOptions::Basis::ForrestTomlin;
-  options.simplex.pricing = lp::SimplexOptions::Pricing::DevexDynamic;
-  return options;
-}
-
-TEST(Golden, DenseInverseBoundsBitForBit) {
+TEST(Golden, ForrestTomlinDynamicDevexBoundsMatchTo1e7) {
   const auto instance = golden_instance();
   const bool print = std::getenv("WANPLACE_PRINT_GOLDEN") != nullptr;
   for (const auto& g : kGolden) {
-    const auto bound = bounds::compute_bound(
-        instance, spec_by_name(g.name),
-        golden_options(lp::SimplexOptions::Basis::DenseInverse));
+    const auto bound =
+        bounds::compute_bound(instance, spec_by_name(g.name), golden_options());
     if (print) {
       std::printf("    {\"%s\", %.17g, %.17g},\n", g.name, bound.lower_bound,
                   bound.max_achievable_qos);
       continue;
     }
-    ASSERT_EQ(bound.status, lp::SolveStatus::Optimal) << g.name;
-    // Exact comparison on purpose: see the file comment.
-    EXPECT_EQ(bound.lower_bound, g.lower_bound) << g.name;
-    EXPECT_EQ(bound.max_achievable_qos, g.max_achievable_qos) << g.name;
-  }
-}
-
-TEST(Golden, ProductFormBoundsMatchTo1e7) {
-  const auto instance = golden_instance();
-  if (std::getenv("WANPLACE_PRINT_GOLDEN") != nullptr) GTEST_SKIP();
-  for (const auto& g : kGolden) {
-    const auto bound = bounds::compute_bound(
-        instance, spec_by_name(g.name),
-        golden_options(lp::SimplexOptions::Basis::ProductForm));
-    ASSERT_EQ(bound.status, lp::SolveStatus::Optimal) << g.name;
-    EXPECT_NEAR(bound.lower_bound, g.lower_bound,
-                1e-7 * (1 + std::abs(g.lower_bound)))
-        << g.name;
-    EXPECT_EQ(bound.max_achievable_qos, g.max_achievable_qos) << g.name;
-  }
-}
-
-TEST(Golden, ForrestTomlinDynamicDevexBoundsMatchTo1e7) {
-  const auto instance = golden_instance();
-  if (std::getenv("WANPLACE_PRINT_GOLDEN") != nullptr) GTEST_SKIP();
-  for (const auto& g : kGolden) {
-    const auto bound =
-        bounds::compute_bound(instance, spec_by_name(g.name), devex_options());
     ASSERT_EQ(bound.status, lp::SolveStatus::Optimal) << g.name;
     EXPECT_NEAR(bound.lower_bound, g.lower_bound,
                 1e-7 * (1 + std::abs(g.lower_bound)))
@@ -158,10 +112,10 @@ TEST(Golden, ForrestTomlinDynamicDevexBoundsMatchTo1e7) {
 
 // ---------------------------------------------------------------------------
 // Dynamic-Devex behavioral fixtures: the pricing rule is deterministic, so
-// the phase-1+phase-2 iteration count under ForrestTomlin + DevexDynamic is
-// a frozen property of the implementation. A drifting count means the
-// pricing (or basis-management) semantics changed — deliberate changes
-// regenerate the table via WANPLACE_PRINT_GOLDEN=1.
+// the phase-1+phase-2 iteration count of the simplex (Forrest–Tomlin basis,
+// dynamic Devex pricing) is a frozen property of the implementation. A
+// drifting count means the pricing (or basis-management) semantics changed
+// — deliberate changes regenerate the table via WANPLACE_PRINT_GOLDEN=1.
 
 struct DevexCase {
   const char* name;        // preset name in mcperf::classes
@@ -183,7 +137,7 @@ TEST(Golden, DynamicDevexIterationCountsPinned) {
   const bool print = std::getenv("WANPLACE_PRINT_GOLDEN") != nullptr;
   for (const auto& g : kDevex) {
     const auto bound =
-        bounds::compute_bound(instance, spec_by_name(g.name), devex_options());
+        bounds::compute_bound(instance, spec_by_name(g.name), golden_options());
     if (print) {
       std::printf("    {\"%s\", %zu, %.17g},\n", g.name,
                   bound.solver_iterations, bound.lower_bound);
@@ -210,10 +164,7 @@ TEST(Golden, DynamicDevexBealePinned) {
   model.add_row(lp::RowType::Le, 0, {x1, x2, x3, x4}, {0.5, -90, -0.02, 3});
   model.add_row(lp::RowType::Le, 1, {x3}, {1});
 
-  lp::SimplexOptions options;
-  options.basis = lp::SimplexOptions::Basis::ForrestTomlin;
-  options.pricing = lp::SimplexOptions::Pricing::DevexDynamic;
-  const auto sol = lp::solve_simplex(model, options);
+  const auto sol = lp::solve_simplex(model);
   if (std::getenv("WANPLACE_PRINT_GOLDEN") != nullptr) {
     std::printf("    beale: iterations=%zu objective=%.17g\n", sol.iterations,
                 sol.objective);
@@ -250,7 +201,7 @@ constexpr DualCase kDual[] = {
 };
 
 bounds::BoundOptions dual_golden_options() {
-  auto options = devex_options();
+  auto options = golden_options();
   options.simplex.method = lp::SimplexOptions::Method::Dual;
   return options;
 }
@@ -289,8 +240,6 @@ TEST(Golden, DualSimplexBealePinned) {
   model.add_row(lp::RowType::Le, 1, {x3}, {1});
 
   lp::SimplexOptions options;
-  options.basis = lp::SimplexOptions::Basis::ForrestTomlin;
-  options.pricing = lp::SimplexOptions::Pricing::DevexDynamic;
   options.method = lp::SimplexOptions::Method::Dual;
   const auto sol = lp::solve_simplex(model, options);
   if (std::getenv("WANPLACE_PRINT_GOLDEN") != nullptr) {
@@ -305,12 +254,13 @@ TEST(Golden, DualSimplexBealePinned) {
 
 // ---------------------------------------------------------------------------
 // Tree-family fixtures: six fixed tree instances pinning the exact DP
-// optimum (deterministic integer/double arithmetic — bit-for-bit), the
-// DenseInverse LP lower bound (bit-for-bit) and the DevexDynamic simplex
-// iteration count. The capped-closest fixture additionally certifies the
-// acceptance property that binding bandwidth rows make the true optimum
-// STRICTLY tighter than the unconstrained bound. Regenerate deliberately
-// with WANPLACE_PRINT_GOLDEN=1 as for kGolden.
+// optimum (deterministic integer/double arithmetic — bit-for-bit), the LP
+// lower bound (frozen from the earlier dense-inverse solver; the simplex
+// must match it to 1e-7) and the simplex iteration count. The
+// capped-closest fixture additionally certifies the acceptance property
+// that binding bandwidth rows make the true optimum STRICTLY tighter than
+// the unconstrained bound. Regenerate deliberately with
+// WANPLACE_PRINT_GOLDEN=1 as for kDevex.
 
 struct GoldenTreeFixture {
   mcperf::Instance instance;
@@ -405,8 +355,8 @@ GoldenTreeFixture golden_tree(std::size_t index) {
 struct GoldenTreeCase {
   const char* name;        // fixture label (index order in golden_tree)
   double dp_optimum;       // frozen exact DP optimum (bit-for-bit)
-  double lower_bound;      // frozen DenseInverse LP bound (bit-for-bit)
-  std::size_t iterations;  // frozen DevexDynamic simplex iteration count
+  double lower_bound;      // frozen reference LP bound (1e-7 relative)
+  std::size_t iterations;  // frozen simplex iteration count
 };
 
 constexpr GoldenTreeCase kGoldenTree[] = {
@@ -424,30 +374,29 @@ TEST(GoldenTree, DpOptimaBoundsAndIterationsPinned) {
     const auto& g = kGoldenTree[index];
     const auto fx = golden_tree(index);
     const auto dp = tree::solve_tree_dp(fx.instance, fx.spec);
-    const auto dense = bounds::compute_bound(
-        fx.instance, fx.spec,
-        golden_options(lp::SimplexOptions::Basis::DenseInverse));
-    const auto devex =
-        bounds::compute_bound(fx.instance, fx.spec, devex_options());
+    const auto bound =
+        bounds::compute_bound(fx.instance, fx.spec, golden_options());
     if (print) {
       std::printf("    {\"%s\", %.17g, %.17g, %zu},\n", g.name, dp.optimum,
-                  dense.lower_bound, devex.solver_iterations);
+                  bound.lower_bound, bound.solver_iterations);
       continue;
     }
     ASSERT_TRUE(dp.feasible) << g.name;
-    ASSERT_EQ(dense.status, lp::SolveStatus::Optimal) << g.name;
+    ASSERT_EQ(bound.status, lp::SolveStatus::Optimal) << g.name;
     // Exact comparisons on purpose: see the file comment.
     EXPECT_EQ(dp.optimum, g.dp_optimum) << g.name;
-    EXPECT_EQ(dense.lower_bound, g.lower_bound) << g.name;
-    EXPECT_EQ(devex.solver_iterations, g.iterations) << g.name;
+    EXPECT_EQ(bound.solver_iterations, g.iterations) << g.name;
+    EXPECT_NEAR(bound.lower_bound, g.lower_bound,
+                1e-7 * (1 + std::abs(g.lower_bound)))
+        << g.name;
     // The sandwich the differential suite asserts statistically, pinned
     // here on fixed instances.
-    EXPECT_LE(dense.lower_bound,
+    EXPECT_LE(bound.lower_bound,
               dp.optimum + 1e-7 * (1 + std::abs(dp.optimum)))
         << g.name;
-    if (dense.rounded_feasible) {
+    if (bound.rounded_feasible) {
       EXPECT_LE(dp.optimum,
-                dense.rounded_cost + 1e-7 * (1 + std::abs(dp.optimum)))
+                bound.rounded_cost + 1e-7 * (1 + std::abs(dp.optimum)))
           << g.name;
     }
   }
@@ -463,9 +412,8 @@ TEST(GoldenTree, CappedClosestStrictlyTighterThanUncapped) {
   uncapped.links->up_capacity.assign(uncapped.node_count(),
                                      graph::kUnlimitedBandwidth);
   const auto capped_dp = tree::solve_tree_dp(fx.instance, fx.spec);
-  const auto free_bound = bounds::compute_bound(
-      uncapped, fx.spec,
-      golden_options(lp::SimplexOptions::Basis::DenseInverse));
+  const auto free_bound =
+      bounds::compute_bound(uncapped, fx.spec, golden_options());
   ASSERT_TRUE(capped_dp.feasible);
   ASSERT_EQ(free_bound.status, lp::SolveStatus::Optimal);
   EXPECT_GT(capped_dp.optimum, free_bound.lower_bound + 0.5);

@@ -59,7 +59,7 @@ bool apply_random_replacement(Rng& rng, BasisLu& lu, LuColumns& columns,
   std::vector<double> w(m, 0.0);
   for (const auto& e : incoming) w[e.index] = e.value;
   lu.ftran(w);
-  if (!lu.update(p, w, 1e-12)) return false;
+  if (!lu.update(p, 1e-12)) return false;
   columns[p] = incoming;
   return true;
 }
@@ -219,7 +219,7 @@ TEST(LuKernel, SparseSpikeStashFeedsUpdate) {
         pattern.push_back(e.index);
       }
       lu.ftran_sparse(w, pattern, 1.0);
-      if (!lu.update(p, w, 1e-12)) continue;
+      if (!lu.update(p, 1e-12)) continue;
       columns[p] = incoming;
     }
 

@@ -645,15 +645,72 @@ TEST(Service, RegretAuditTracksIncumbentAndBound) {
       EXPECT_EQ(out.audit.feasible(), truth.feasible()) << out.kind;
       EXPECT_NEAR(out.audit.min_qos, truth.min_qos, 1e-9) << out.kind;
     }
-    if (out.audit.bound_certified) {
+    EXPECT_EQ(out.audit.has_regret(),
+              out.audit.bound_certified && out.audit.feasible())
+        << out.kind;
+    if (out.audit.has_regret()) {
       EXPECT_NEAR(out.audit.regret, out.audit.cost - out.lower_bound, 1e-12)
           << out.kind;
       // A feasible incumbent can never beat the certified lower bound.
-      if (out.audit.feasible())
-        EXPECT_GE(out.audit.regret, -1e-7 * (1 + std::abs(out.lower_bound)))
-            << out.kind;
+      EXPECT_GE(out.audit.regret, -1e-7 * (1 + std::abs(out.lower_bound)))
+          << out.kind;
+    } else {
+      EXPECT_EQ(out.audit.regret, 0) << out.kind;
     }
   }
+}
+
+// A leave that strands the incumbent: the initial plan serves node 1's
+// reads from replicas on node 0, so once node 0 departs node 1 is left
+// uncovered and the re-audited plan misses the QoS goal, while the
+// re-solved bound stays certified. Regret against that bound would be
+// meaningless — a broken plan can even sit below it — so none is reported:
+// not in the outcome, the series point, the status snapshot or the regret
+// gauges.
+TEST(Service, InfeasibleIncumbentReportsNoRegret) {
+  auto& registry = obs::Registry::global();
+  registry.enable(true);
+  registry.reset();
+  service::PlacementDaemon daemon(service_instance(),
+                                  daemon_options(mcperf::classes::general()));
+  daemon.start();
+  // A small drift first: its audit of the feasible incumbent sets the
+  // regret gauges the leave must then leave alone.
+  const auto drift =
+      daemon.on_event(workload::DemandDeltaEvent{2, 0, 0, 1.0, 0.0});
+  ASSERT_TRUE(drift.audit.has_regret());
+  const auto before = registry.snapshot();
+  const auto out = daemon.on_event(workload::NodeLeaveEvent{0});
+  const auto after = registry.snapshot();
+  registry.enable(false);
+
+  ASSERT_FALSE(out.rejected) << out.error;
+  ASSERT_TRUE(out.audit.exists);
+  ASSERT_TRUE(out.audit.bound_certified);
+  ASSERT_FALSE(out.audit.feasible());
+  EXPECT_FALSE(out.audit.has_regret());
+  EXPECT_EQ(out.audit.regret, 0);
+  EXPECT_EQ(out.audit.relative_regret, 0);
+
+  const auto points = daemon.series().points();
+  ASSERT_FALSE(points.empty());
+  for (const auto& [key, value] : points.back().values) {
+    EXPECT_NE(key, "regret");
+    EXPECT_NE(key, "relative_regret");
+  }
+
+  const auto status = daemon.status();
+  EXPECT_TRUE(status.incumbent_infeasible);
+  EXPECT_EQ(status.regret, 0);
+  EXPECT_EQ(status.relative_regret, 0);
+
+  for (const char* gauge : {"service.regret.abs", "service.regret.rel"}) {
+    ASSERT_TRUE(before.count(gauge)) << gauge;
+    ASSERT_TRUE(after.count(gauge)) << gauge;
+    EXPECT_EQ(after.at(gauge).count, before.at(gauge).count) << gauge;
+  }
+  ASSERT_TRUE(after.count("service.regret.feasible"));
+  EXPECT_EQ(after.at("service.regret.feasible").sum, 0);
 }
 
 TEST(Service, StatusSnapshotCountsAppliedAndRejected) {

@@ -387,10 +387,13 @@ int cmd_serve(const Args& args) {
               << outcome.pivots << " -> "
               << (outcome.published ? "publish" : "hold") << " ("
               << outcome.reason << ")";
-    if (outcome.audit.exists && outcome.audit.bound_certified)
+    if (outcome.audit.has_regret()) {
       std::cout << " regret "
                 << format_number(outcome.audit.relative_regret * 100, 1)
                 << "%";
+    } else if (outcome.audit.bound_certified && outcome.audit.exists) {
+      std::cout << " regret n/a (infeasible)";
+    }
     std::cout << "\n";
     flush_metrics();
   };
@@ -422,8 +425,11 @@ int cmd_serve(const Args& args) {
   std::cout << "status: plan=" << (status.has_plan ? "yes" : "no")
             << " incumbent " << format_number(status.incumbent_cost, 1)
             << " bound " << format_number(status.lower_bound, 1)
-            << " regret " << format_number(status.relative_regret * 100, 1)
-            << "% stale " << status.events_since_publish << " (last: "
+            << " regret "
+            << (status.incumbent_infeasible
+                    ? std::string("n/a (infeasible)")
+                    : format_number(status.relative_regret * 100, 1) + "%")
+            << " stale " << status.events_since_publish << " (last: "
             << (status.last_reason.empty() ? "none" : status.last_reason)
             << ", rebuilds " << status.rebuilds << ", basis drops "
             << status.basis_drops << ")\n";
